@@ -30,6 +30,9 @@ class CSRGraph:
         the out-neighbors of ``v``).
     rindptr, rindices : np.ndarray
         In-adjacency (reverse graph) in CSR form.
+    arc_owner, rarc_owner : np.ndarray
+        The node each CSR slot belongs to: the source of out-arc
+        ``indices[i]`` and the target of in-arc ``rindices[i]``.
     out_deg : np.ndarray
         Out-degree per node (``d(v)`` in the paper).
     """
@@ -39,7 +42,9 @@ class CSRGraph:
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise ValueError("src/dst length mismatch")
-        if len(src) and (src.min() < 0 or max(src.max(), dst.max()) >= n):
+        if len(src) and (
+            min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n
+        ):
             raise ValueError("node id out of range")
         self.n = int(n)
         self.m = int(len(src))
@@ -54,8 +59,9 @@ class CSRGraph:
         np.add.at(self.rindptr, d[rorder] + 1, 1)
         np.cumsum(self.rindptr, out=self.rindptr)
         self.rindices = s[rorder]
+        self.arc_owner = s
+        self.rarc_owner = d[rorder]
         self.out_deg = np.diff(self.indptr).astype(np.float64)
-        self._src_sorted = s
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -79,23 +85,7 @@ class CSRGraph:
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) arrays of all directed arcs, sorted by (src, dst)."""
-        return self._src_sorted, self.indices
-
-    def out_edges_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated (src-repeated, dst) arcs out of ``nodes`` (batched)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        counts = (self.indptr[nodes + 1] - self.indptr[nodes]).astype(np.int64)
-        srcs = np.repeat(nodes, counts)
-        idx = _slice_concat(self.indptr, nodes, counts)
-        return srcs, self.indices[idx]
-
-    def in_edges_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated (dst-repeated, src) arcs into ``nodes`` (batched)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        counts = (self.rindptr[nodes + 1] - self.rindptr[nodes]).astype(np.int64)
-        dsts = np.repeat(nodes, counts)
-        idx = _slice_concat(self.rindptr, nodes, counts)
-        return dsts, self.rindices[idx]
+        return self.arc_owner, self.indices
 
     # -- dense operators (small graphs only) -------------------------------
     def transition_matrix(self) -> np.ndarray:
@@ -107,13 +97,3 @@ class CSRGraph:
         deg[deg == 0] = 1.0
         return P / deg[:, None]
 
-
-def _slice_concat(indptr: np.ndarray, nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices selecting CSR slices of ``nodes``, concatenated, no python loop."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = indptr[nodes]
-    offs = np.arange(total, dtype=np.int64)
-    block_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return starts.repeat(counts) + (offs - block_starts.repeat(counts))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
+from repro.pprlib.push import scatter_arcs
 
 
 def bfs_from(g: CSRGraph, source: int) -> np.ndarray:
@@ -20,9 +21,8 @@ def bfs_from(g: CSRGraph, source: int) -> np.ndarray:
     frontier = np.array([source], dtype=np.int64)
     d = 0
     while len(frontier):
-        _, nbrs = g.out_edges_of(frontier)
-        nbrs = np.unique(nbrs)
-        nxt = nbrs[dist[nbrs] < 0]
+        reached = scatter_arcs(g, np.ones(len(frontier)), frontier)
+        nxt = np.flatnonzero((reached > 0) & (dist < 0))
         d += 1
         dist[nxt] = d
         frontier = nxt

@@ -119,6 +119,11 @@ def sdne_lite(
     return H1 @ W2
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) without overflow: log(1 + e^-x) is a stable logaddexp."""
+    return np.exp(-np.logaddexp(0.0, -x))
+
+
 def node2vec_lite(
     g: CSRGraph,
     *,
@@ -163,14 +168,14 @@ def node2vec_lite(
         for lo in range(0, len(perm), 8192):
             b = perm[lo : lo + 8192]
             c, o = centers[b], contexts[b]
-            score = 1.0 / (1.0 + np.exp(-(emb[c] * ctx[o]).sum(1)))
+            score = _sigmoid((emb[c] * ctx[o]).sum(1))
             coef = (score - 1.0)[:, None]
             ge = coef * ctx[o]
             go = coef * emb[c]
             neg = rng.integers(0, n, size=(len(b), n_neg))
             for t in range(n_neg):
                 nt = neg[:, t]
-                sneg = 1.0 / (1.0 + np.exp(-(emb[c] * ctx[nt]).sum(1)))
+                sneg = _sigmoid((emb[c] * ctx[nt]).sum(1))
                 ge += sneg[:, None] * ctx[nt]
                 np.add.at(ctx, nt, -lr * sneg[:, None] * emb[c])
             np.add.at(emb, c, -lr * ge)

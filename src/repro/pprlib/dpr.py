@@ -20,13 +20,13 @@ import numpy as np
 from pyspark.sql import DataFrame, functions as F
 
 from repro.graphs.csr import CSRGraph
+from repro.pprlib.push import scatter_arcs
 
 
 def dpr_vector_local(
     g: CSRGraph, alpha: float, *, tol: float = 1e-12, max_iter: int = 300
 ) -> np.ndarray:
     """DPR vector over leaves by power iteration; sums to ~1."""
-    src, dst = g.edge_array()
     deg = g.out_deg.copy()
     deg[deg == 0] = 1.0
     s = g.out_deg / max(1.0, float(g.m))
@@ -37,9 +37,7 @@ def dpr_vector_local(
         pi += alpha * weight * x
         if weight < tol:
             break
-        y = np.zeros(g.n)
-        np.add.at(y, dst, x[src] / deg[src])
-        x = y
+        x = scatter_arcs(g, x / deg)
         weight *= 1.0 - alpha
     return pi
 

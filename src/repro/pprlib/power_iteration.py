@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget
+from repro.pprlib.push import scatter_arcs
 
 
 def exact_ppr_matrix(g: CSRGraph, alpha: float) -> np.ndarray:
@@ -46,7 +47,6 @@ def ppr_single_source_pi(
     iteration. Returns the PPR vector pi(source, .).
     """
     budget = budget or OpBudget()
-    src, dst = g.edge_array()
     deg = g.out_deg.copy()
     deg[deg == 0] = 1.0
     # Propagate the probability mass of the *current step* distribution:
@@ -57,9 +57,6 @@ def ppr_single_source_pi(
     weight = 1.0
     while weight > tol:
         pi += alpha * weight * x
-        y = np.zeros(g.n)
-        np.add.at(y, dst, x[src] / deg[src])
-        x = y
+        x = scatter_arcs(g, x / deg, budget=budget)
         weight *= 1.0 - alpha
-        budget.charge(g.m)
     return pi

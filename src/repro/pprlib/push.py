@@ -2,9 +2,17 @@
 
 Frontier-synchronous formulation: every node above its threshold pushes in
 the same round. The push invariant (paper Eq. (3)) holds under *any* push
-schedule, so batching preserves correctness; it also makes the local kernel
-bit-for-bit comparable with the Spark DataFrame implementation in
-``repro.core.taupush_spark`` (same schedule, same rounds).
+schedule, so batching preserves correctness. The schedule is the one the
+Spark DataFrame implementation in ``repro.core.taupush_spark`` runs (same
+frontiers, same rounds, same op counts), so the two engines agree to
+floating-point rounding (~1e-16 relative): each round sums a node's incoming
+shares with ``np.bincount``, in a different order than the Spark groupBy.
+
+One kernel serves both directions. A round's frontier is the set of nodes
+whose residue exceeds its threshold; their shares are scattered along the
+frontier's CSR slices, or along every arc in one pass once the frontier owns
+more than a quarter of them (see :func:`scatter_arcs`, which the power
+iteration sweeps of DPR, PI and ResAcc also use).
 
 Both kernels work on *residue vectors*, so the grouped variants (GFP/GBP,
 paper Alg. 2-3) reuse them by seeding multiple sources/targets at once.
@@ -28,6 +36,88 @@ from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget
 
 
+# A frontier owning more than 1/_FULL_PASS of all arcs is scattered by one
+# pass over every arc instead of gathering its CSR slices: the gather costs
+# more than the pass by then, and the share barely matters near the switch.
+_FULL_PASS = 4
+
+
+def scatter_arcs(
+    g: CSRGraph,
+    weight: np.ndarray,
+    nodes: np.ndarray | None = None,
+    *,
+    reverse: bool = False,
+    budget: OpBudget | None = None,
+) -> np.ndarray:
+    """Sum per-node weights along arcs: the one arc-scatter primitive.
+
+    Forward, ``y[u]`` is the sum of ``weight[v]`` over arcs v -> u with v in
+    ``nodes``; with ``reverse``, over arcs u -> v instead (the in-CSR).
+    ``weight`` is aligned with ``nodes``, or covers all n nodes when
+    ``nodes`` is None. Charges one op per arc read, before scattering.
+    """
+    if reverse:
+        indptr, indices, owner = g.rindptr, g.rindices, g.rarc_owner
+    else:
+        indptr, indices, owner = g.indptr, g.indices, g.arc_owner
+    if nodes is None:
+        arcs = g.m
+    else:
+        counts = indptr[nodes + 1] - indptr[nodes]
+        arcs = int(counts.sum())
+    if budget is not None:
+        budget.charge(arcs)
+    if nodes is None:
+        share = weight
+    elif arcs <= g.m // _FULL_PASS:
+        # slot positions of the frontier's CSR slices, concatenated
+        block = np.cumsum(counts) - counts
+        pos = np.arange(arcs) + np.repeat(indptr[nodes] - block, counts)
+        return np.bincount(
+            indices[pos], weights=np.repeat(weight, counts), minlength=g.n
+        )
+    else:
+        share = np.zeros(g.n)
+        share[nodes] = weight
+    return np.bincount(indices, weights=share[owner], minlength=g.n)
+
+
+def _push(
+    g: CSRGraph,
+    residue: np.ndarray,
+    thresh: np.ndarray | float,
+    alpha: float,
+    *,
+    reverse: bool,
+    budget: OpBudget | None,
+    max_rounds: int | None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The frontier-synchronous push loop shared by both directions."""
+    budget = budget or OpBudget()
+    r = np.asarray(residue, dtype=np.float64).copy()
+    est = np.zeros(g.n)
+    # (1 - alpha) / d(v); zero on dangling nodes, which never send forward
+    # and never receive backward.
+    step = np.divide(
+        1.0 - alpha, g.out_deg, out=np.zeros(g.n), where=g.out_deg > 0
+    )
+    rounds = 0
+    while max_rounds is None or rounds < max_rounds:
+        front = np.flatnonzero(r > thresh)
+        if len(front) == 0:
+            break
+        rf = r[front]
+        est[front] += alpha * rf
+        r[front] = 0.0
+        if reverse:
+            r += step * scatter_arcs(g, rf, front, reverse=True, budget=budget)
+        else:
+            r += scatter_arcs(g, rf * step[front], front, budget=budget)
+        rounds += 1
+    return est, r, rounds
+
+
 def forward_push(
     g: CSRGraph,
     residue: np.ndarray,
@@ -37,32 +127,17 @@ def forward_push(
     budget: OpBudget | None = None,
     max_rounds: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Frontier-synchronous Forward-Push.
+    """Frontier-synchronous Forward-Push along out-arcs.
 
     Mutates nothing; returns (estimate, final residue, rounds). The
     estimate accumulates alpha * pushed-residue per node (DPPR scale if the
     seed residues are degree-scaled). Charges one op per touched arc.
     """
-    budget = budget or OpBudget()
-    r = np.asarray(residue, dtype=np.float64).copy()
-    est = np.zeros(g.n)
     thresh = g.out_deg * rmax
-    rounds = 0
-    while True:
-        active = np.flatnonzero(r > np.maximum(thresh, 1e-300))
-        # dangling nodes (deg 0) would loop forever; they cannot push.
-        active = active[g.out_deg[active] > 0]
-        if len(active) == 0 or (max_rounds is not None and rounds >= max_rounds):
-            break
-        ra = r[active]
-        est[active] += alpha * ra
-        srcs, dsts = g.out_edges_of(active)
-        budget.charge(len(srcs))
-        send = (1.0 - alpha) * r[srcs] / g.out_deg[srcs]
-        r[active] = 0.0
-        np.add.at(r, dsts, send)
-        rounds += 1
-    return est, r, rounds
+    thresh[g.out_deg == 0] = np.inf  # dangling nodes cannot push
+    return _push(
+        g, residue, thresh, alpha, reverse=False, budget=budget, max_rounds=max_rounds
+    )
 
 
 def backward_push(
@@ -74,28 +149,14 @@ def backward_push(
     budget: OpBudget | None = None,
     max_rounds: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Frontier-synchronous Backward-Push along in-edges.
+    """Frontier-synchronous Backward-Push along in-arcs.
 
     Returns (estimate, final residue, rounds); estimate[s] approximates
     pi(s, t) for seed target(s) t. Charges one op per touched arc.
     """
-    budget = budget or OpBudget()
-    r = np.asarray(residue, dtype=np.float64).copy()
-    est = np.zeros(g.n)
-    rounds = 0
-    while True:
-        active = np.flatnonzero(r > rmax_b)
-        if len(active) == 0 or (max_rounds is not None and rounds >= max_rounds):
-            break
-        ra = r[active]
-        est[active] += alpha * ra
-        dsts, srcs = g.in_edges_of(active)  # arcs srcs -> dsts(active)
-        budget.charge(len(srcs))
-        send = (1.0 - alpha) * r[dsts] / g.out_deg[srcs]
-        r[active] = 0.0
-        np.add.at(r, srcs, send)
-        rounds += 1
-    return est, r, rounds
+    return _push(
+        g, residue, rmax_b, alpha, reverse=True, budget=budget, max_rounds=max_rounds
+    )
 
 
 def random_walks(

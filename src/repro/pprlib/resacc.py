@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget
-from repro.pprlib.push import forward_push
+from repro.pprlib.push import forward_push, scatter_arcs
 
 
 def resacc_single_source(
@@ -43,14 +43,10 @@ def resacc_single_source(
     # phase 1: localized push with a moderate threshold
     est, r, _ = forward_push(g, residue, max(rmax, 1e-9), alpha, budget=budget)
     # phase 2: accumulation sweeps — propagate *all* remaining residue
-    src, dst = g.edge_array()
     deg = g.out_deg.copy()
     deg[deg == 0] = 1.0
     target = eps * delta
     while float(r.sum()) > target:
         est += alpha * r
-        y = np.zeros(g.n)
-        np.add.at(y, dst, (1.0 - alpha) * r[src] / deg[src])
-        budget.charge(g.m)
-        r = y
+        r = scatter_arcs(g, (1.0 - alpha) * r / deg, budget=budget)
     return est

@@ -35,23 +35,6 @@ def test_edge_array_sorted(tiny):
     assert (order == np.arange(len(s))).all()
 
 
-def test_out_edges_of_batch(tiny):
-    s, d = tiny.out_edges_of(np.array([0, 4]))
-    pairs = sorted(zip(s.tolist(), d.tolist()))
-    assert pairs == [(0, 1), (0, 2), (4, 3), (4, 5)]
-
-
-def test_out_edges_of_empty(tiny):
-    s, d = tiny.out_edges_of(np.array([], dtype=np.int64))
-    assert len(s) == 0 and len(d) == 0
-
-
-def test_in_edges_of_batch(tiny):
-    dsts, srcs = tiny.in_edges_of(np.array([2]))
-    assert sorted(srcs.tolist()) == [0, 1]
-    assert set(dsts.tolist()) == {2}
-
-
 def test_from_undirected_symmetric():
     g = CSRGraph.from_undirected(3, np.array([0, 1]), np.array([1, 2]))
     assert g.m == 4
@@ -68,6 +51,13 @@ def test_transition_matrix_row_stochastic(tiny):
 def test_id_out_of_range_raises():
     with pytest.raises(ValueError):
         CSRGraph(2, np.array([0]), np.array([5]))
+
+
+def test_negative_id_raises():
+    with pytest.raises(ValueError):
+        CSRGraph(3, np.array([0, 1]), np.array([-1, 2]))
+    with pytest.raises(ValueError):
+        CSRGraph(3, np.array([-1, 1]), np.array([0, 2]))
 
 
 def test_length_mismatch_raises():

@@ -89,3 +89,12 @@ def test_sdne_reconstruction_improves(twego):
         return e / dist[iu].mean()
 
     assert ratio(X_long) <= ratio(X_short) + 0.25
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_node2vec_sigmoid_no_overflow(barbell):
+    """Logits far beyond exp's range give 0/1 scores without a warning."""
+    # a large step drives the SGNS logits to thousands within one epoch
+    assert np.isfinite(emb.node2vec_lite(barbell, seed=0, lr=10.0)).all()
+    x = np.array([-1e4, -800.0, 0.0, 800.0, 1e4])
+    np.testing.assert_array_equal(emb._sigmoid(x), [0.0, 0.0, 0.5, 1.0, 1.0])

@@ -2,10 +2,41 @@
 import numpy as np
 import pytest
 
+from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
 from repro.pprlib.push import backward_push, forward_push, random_walks
 
 ALPHA = 0.15
+
+
+def reference_push(g, residue, rmax, alpha, *, backward, max_rounds=None):
+    """Per-node, per-arc frontier-synchronous push in pure Python.
+
+    Returns (estimate, residue, rounds, ops, arcs pushed per round).
+    """
+    deg = g.out_deg.tolist()
+    r = [float(x) for x in residue]
+    est = [0.0] * g.n
+    round_arcs = []
+    while max_rounds is None or len(round_arcs) < max_rounds:
+        if backward:
+            front = [v for v in range(g.n) if r[v] > rmax]
+        else:
+            front = [v for v in range(g.n) if deg[v] > 0 and r[v] > deg[v] * rmax]
+        if not front:
+            break
+        pushed = {v: r[v] for v in front}
+        for v in front:
+            est[v] += alpha * pushed[v]
+            r[v] = 0.0
+        arcs = 0
+        for v in front:
+            nbrs = g.in_neighbors(v) if backward else g.out_neighbors(v)
+            for u in nbrs.tolist():
+                r[u] += (1 - alpha) * pushed[v] / (deg[u] if backward else deg[v])
+                arcs += 1
+        round_arcs.append(arcs)
+    return np.array(est), np.array(r), len(round_arcs), sum(round_arcs), round_arcs
 
 
 def test_forward_push_invariant(tiny, tiny_exact_ppr):
@@ -85,12 +116,70 @@ def test_backward_push_threshold(fbego):
     assert (r <= 0.01 + 1e-12).all()
 
 
+def _ring(n=64):
+    u = np.arange(n)
+    return CSRGraph.from_undirected(n, u, (u + 1) % n)
+
+
+def _dangling():
+    """Node 3 has in-arcs but no out-arcs; node 4 has no in-arcs."""
+    src = np.array([0, 0, 1, 1, 2, 2, 4])
+    dst = np.array([1, 2, 2, 3, 0, 3, 0])
+    return CSRGraph(5, src, dst)
+
+
+def _exact_kernel_case(g, seed, rmax, backward, max_rounds=None):
+    residue = np.zeros(g.n)
+    residue[seed] = 1.0 if backward else g.out_deg[seed]
+    push = backward_push if backward else forward_push
+    b = OpBudget()
+    est, r, rounds = push(g, residue, rmax, ALPHA, budget=b, max_rounds=max_rounds)
+    ref_est, ref_r, ref_rounds, ref_ops, round_arcs = reference_push(
+        g, residue, rmax, ALPHA, backward=backward, max_rounds=max_rounds
+    )
+    np.testing.assert_allclose(est, ref_est, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(r, ref_r, rtol=0, atol=1e-12)
+    assert rounds == ref_rounds
+    assert b.ops == ref_ops
+    return round_arcs
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_kernel_matches_reference_full_arc_rounds(fbego, backward):
+    """FbEgo from its hub: some rounds take the one-pass-over-all-arcs path."""
+    hub = int(np.argmax(fbego.out_deg))
+    round_arcs = _exact_kernel_case(fbego, hub, 1e-5, backward)
+    assert max(round_arcs) > fbego.m // 4
+    assert min(round_arcs) <= fbego.m // 4
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_kernel_matches_reference_gather_rounds(backward):
+    """A 64-ring from one node: every round gathers its frontier's slices."""
+    g = _ring()
+    round_arcs = _exact_kernel_case(g, 0, 1e-3, backward)
+    assert len(round_arcs) > 5
+    assert max(round_arcs) <= g.m // 4
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_kernel_matches_reference_dangling(backward):
+    _exact_kernel_case(_dangling(), 3 if backward else 4, 1e-4, backward)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_kernel_matches_reference_max_rounds(fbego, backward):
+    hub = int(np.argmax(fbego.out_deg))
+    assert len(_exact_kernel_case(fbego, hub, 1e-9, backward, max_rounds=4)) == 4
+
+
 def test_push_budget_charged(fbego):
     b = OpBudget()
     residue = np.zeros(fbego.n)
     residue[0] = fbego.out_deg[0]
     forward_push(fbego, residue, rmax=1e-4, alpha=ALPHA, budget=b)
-    assert b.ops > 0
+    *_, ref_ops, _ = reference_push(fbego, residue, 1e-4, ALPHA, backward=False)
+    assert b.ops == ref_ops
 
 
 def test_push_budget_exceeded(fbego):
