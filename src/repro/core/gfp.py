@@ -40,9 +40,7 @@ def aggregate_to_supernodes(
     vals = est_nodes[inside]
     if weight is not None:
         vals = vals * weight[inside]
-    k = len(sizes)
-    out = np.zeros(k)
-    np.add.at(out, member_label[inside], vals)
+    out = np.bincount(member_label[inside], weights=vals, minlength=len(sizes))
     return out / np.maximum(sizes, 1)
 
 

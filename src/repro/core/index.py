@@ -1,13 +1,14 @@
 """Tau-Push indexing scheme (paper §4.3).
 
 The index holds (i) the n-entry DPR vector and (ii) precomputed GBP results
-for every supernode — at any hierarchy level — whose DPR exceeds
-tau = 1/sqrt(k n). The paper's index is O(n + k sqrt(k n)) because a GBP
-result is stored only w.r.t. O(k) *source supernodes*: in the hierarchy, a
-query that contains target V_j as a child always has S = the children of
-V_j's parent, i.e. V_j's siblings. So the stored entry for (level, sup) is
-the aggregated DPPR column over exactly those siblings, computed with the
-query's own Eq. (6) rmax_b (which is determined by the sibling set).
+for every supernode — at any hierarchy level — that its query refines by
+GBP, i.e. whose DPR exceeds that query's tau_q. The paper's index is
+O(n + k sqrt(k n)) because a GBP result is stored only w.r.t. O(k) *source
+supernodes*: in the hierarchy, a query that contains target V_j as a child
+always has S = the children of V_j's parent, i.e. V_j's siblings. So the
+stored entry for (level, sup) is the aggregated DPPR column over exactly
+those siblings, computed with the query's own tau_q and Eq. (6) rmax_b
+(both determined by the sibling set).
 
 ``nbytes`` feeds Table 10.
 """
@@ -19,11 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.gbp import gbp
-from repro.core.taupush import membership_arrays
+from repro.core.taupush import (
+    child_dprs,
+    membership_arrays,
+    tau_cap,
+    taupush_params,
+)
 from repro.graphs.csr import CSRGraph
 from repro.hierarchy.supergraph import Hierarchy
 from repro.pprlib.budget import OpBudget
-from repro.pprlib.dpr import dpr_vector_local
+from repro.pprlib.dpr import dpr_vector_local, supernode_dpr
 
 
 @dataclass
@@ -58,12 +64,18 @@ class TauPushIndex:
         return dict(zip(sids.tolist(), vals.tolist()))
 
 
-def _siblings(h: Hierarchy, level: int, sup: int) -> np.ndarray:
-    """Supernode ids at ``level`` sharing ``sup``'s parent (root at top)."""
+def _sibling_sets(h: Hierarchy, level: int, sups: np.ndarray) -> list[np.ndarray]:
+    """The distinct sibling sets at ``level`` that contain any of ``sups``.
+
+    A sibling set is the child list of one query: every supernode sharing
+    a parent (the whole coarsest level under the virtual root).
+    """
+    if len(sups) == 0:
+        return []
     if level == h.n_levels:
-        return np.arange(h.n_supernodes(level))
-    parent = int(h.parent_labels(level)[sup])
-    return h.children(level + 1, parent)
+        return [np.arange(h.n_supernodes(level))]
+    parents = np.unique(h.parent_labels(level)[sups])
+    return [h.children(level + 1, int(p)) for p in parents]
 
 
 def build_taupush_index(
@@ -80,9 +92,11 @@ def build_taupush_index(
     """Build the Tau-Push index for one graph + hierarchy.
 
     ``include_gbp=False`` yields the GFP(tau_max) variant's index (DPR
-    only). tau follows the paper default 1/sqrt(k n); each stored GBP
-    column uses the Eq. (6) rmax_b of its own sibling set, so query-time
-    lookups return exactly what a live GBP inside Algorithm 1 would.
+    only). Each sibling set gets tau_q and the Eq. (6) rmax_b from
+    :func:`taupush_params`, exactly as its query does, and a column is
+    stored for each sibling with tau_j > tau_q, so query-time lookups
+    return exactly what a live GBP inside Algorithm 1 would, and every
+    stored column is read by its query.
     """
     eps = eps if eps is not None else 1.0 - 1.0 / math.e
     budget = budget or OpBudget()
@@ -92,28 +106,25 @@ def build_taupush_index(
     if not include_gbp:
         idx.build_ops = budget.ops
         return idx
-    tau = 1.0 / math.sqrt(k * g.n)
+    # A sibling set of k' <= k children refines only tau_j > 1/sqrt(k' n),
+    # so supernodes at or below 1/sqrt(k n) are never GBP targets.
+    floor = tau_cap(k, g.n)
     for level in range(0, h.n_levels + 1):
-        labels = h.leaf_labels[level]
-        n_sup = h.n_supernodes(level)
-        sums = np.zeros(n_sup)
-        np.add.at(sums, labels, leaf_dpr)
-        counts = np.bincount(labels, minlength=n_sup).astype(np.float64)
-        taus = sums / np.maximum(counts, 1.0)
-        for sup in np.flatnonzero(taus > tau):
-            sibs = _siblings(h, level, int(sup))
+        taus = supernode_dpr(leaf_dpr, h.leaf_labels[level])
+        for sibs in _sibling_sets(h, level, np.flatnonzero(taus > floor)):
             leaf_sets = [h.leaf_set(level, int(s)) for s in sibs]
             member, sizes = membership_arrays(g.n, leaf_sets)
             delta_q = (
                 delta if delta is not None else 1.0 / (10.0 * max(1, len(sibs)))
             )
-            avg_degs = [g.out_deg[fs].mean() for fs in leaf_sets if len(fs)]
-            rmax_b = eps * delta_q / max(avg_degs) if avg_degs else eps * delta_q
-            fs = h.leaf_set(level, int(sup))
-            col = gbp(g, fs, member, sizes, rmax_b, alpha, budget=budget)
-            idx.gbp_store[(level, int(sup))] = (
-                sibs.astype(np.int64),
-                col.astype(np.float64),
-            )
+            tau, _, rmax_b = taupush_params(g, leaf_sets, leaf_dpr, eps, delta_q)
+            for j in np.flatnonzero(child_dprs(leaf_dpr, leaf_sets) > tau):
+                col = gbp(
+                    g, leaf_sets[j], member, sizes, rmax_b, alpha, budget=budget
+                )
+                idx.gbp_store[(level, int(sibs[j]))] = (
+                    sibs.astype(np.int64),
+                    col.astype(np.float64),
+                )
     idx.build_ops = budget.ops
     return idx

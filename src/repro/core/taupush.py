@@ -1,10 +1,27 @@
 """Tau-Push (paper Algorithm 1): (eps, delta)-approximate level-l DPPR and
 PDist for the children of a user-selected supernode S.
 
-Pipeline: tau = 1/sqrt(k n); rmax per Eq. (5); GFP from each child V_i;
-rmax_b per Eq. (6); GBP refinement for every child V_j whose DPR tau_j
-exceeds tau (looked up from the precomputed index when available —
-paper §4.3: GBP results are part of the index); Eq. (1) conversion.
+Pipeline: tau_q = min(1/sqrt(k n), 4 max_j tau_j); rmax per Eq. (5); GFP
+from each child V_i; rmax_b per Eq. (6); GBP refinement for every child V_j
+whose DPR tau_j exceeds tau_q (looked up from the precomputed index when
+available — paper §4.3: GBP results are part of the index); Eq. (1)
+conversion.
+
+Why tau_q may sit below the paper's 1/sqrt(k n): Lemma 4.1 bounds GFP's
+error toward child j by eps*delta*tau_j/tau for rmax = eps*delta/(m*tau).
+When every child has tau_j below 1/sqrt(k n), GBP refines none of them, and
+pushing down to 1/sqrt(k n) only buys accuracy beyond what the children's
+DPRs call for. tau = max_j tau_j would already make every child
+(eps, delta)-accurate — the GFP(tau_max) ablation (§7.4) — but it spends
+the whole eps*delta slack on the largest child, and the layouts show it:
+on FilmTrust's top level the simulated T3 raters (Table 6) then tell
+Tau-Push from PI apart (PI preferred 40 times, "no difference" 19 of 60,
+against 8 and 43 at 1/sqrt(k n)). With tau_q = 4 max_j tau_j every child
+is (eps/4, delta)-accurate — a clamped query is exactly GFP(tau_max) at
+eps/4 — and the raters answer as at 1/sqrt(k n) (9, 9 and 42; factor 2
+still skews Table 6 to 39/21/120). The max is floored at 1/n so an
+all-zero DPR vector still gives a finite rmax. When some child has
+tau_j >= 1/(4 sqrt(k n)), tau_q is the paper's value and nothing changes.
 """
 from __future__ import annotations
 
@@ -45,16 +62,49 @@ def membership_arrays(
     return member, sizes
 
 
+def child_dprs(leaf_dpr: np.ndarray, leaf_sets: list[np.ndarray]) -> np.ndarray:
+    """Eq. (4) DPR tau_j of each child: mean leaf DPR over F(V_j), 0 if empty."""
+    return np.array([leaf_dpr[fs].mean() if len(fs) else 0.0 for fs in leaf_sets])
+
+
+def max_child_dpr(taus: np.ndarray, n: int) -> float:
+    """max_j tau_j, floored at 1/n (all-zero or no children)."""
+    return max(float(taus.max()) if len(taus) else 0.0, 1.0 / max(1, n))
+
+
+def tau_cap(k: int, n: int) -> float:
+    """Alg. 1 line 1: the paper's tau = 1/sqrt(k n) for k children."""
+    return 1.0 / math.sqrt(max(1, k) * n)
+
+
+def forward_rmax(g: CSRGraph, tau: float, eps: float, delta: float) -> float:
+    """Eq. (5): the GFP threshold that is (eps, delta)-accurate toward every
+    target with tau_j <= tau (Lemma 4.1)."""
+    return eps * delta / (g.m * tau)
+
+
+# tau_q / max_j tau_j on a clamped query: GFP's error bound toward every
+# child shrinks by this factor (a power of two, so rmax is exactly
+# GFP(tau_max)'s at eps / _TAU_HEADROOM). See the module docstring.
+_TAU_HEADROOM = 4.0
+
+
 def taupush_params(
-    g: CSRGraph, leaf_sets: list[np.ndarray], eps: float, delta: float
+    g: CSRGraph,
+    leaf_sets: list[np.ndarray],
+    leaf_dpr: np.ndarray,
+    eps: float,
+    delta: float,
 ) -> tuple[float, float, float]:
-    """(tau, rmax, rmax_b) per Alg. 1 lines 1-2, 5 (Eqs. 5-6)."""
-    k = max(1, len(leaf_sets))
-    tau = 1.0 / math.sqrt(k * g.n)
-    rmax = eps * delta / (g.m * tau)
+    """(tau_q, rmax, rmax_b) per Alg. 1 lines 1-2, 5 (Eqs. 5-6), with
+    tau_q = min(1/sqrt(k n), 4 max_j tau_j) (see the module docstring)."""
+    tau = min(
+        tau_cap(len(leaf_sets), g.n),
+        _TAU_HEADROOM * max_child_dpr(child_dprs(leaf_dpr, leaf_sets), g.n),
+    )
     avg_degs = [g.out_deg[fs].mean() for fs in leaf_sets if len(fs)]
     rmax_b = eps * delta / max(avg_degs) if avg_degs else eps * delta
-    return tau, rmax, rmax_b
+    return tau, forward_rmax(g, tau, eps, delta), rmax_b
 
 
 def taupush_query(
@@ -81,7 +131,7 @@ def taupush_query(
     eps = eps if eps is not None else 1.0 - 1.0 / math.e
     delta = delta if delta is not None else 1.0 / (10.0 * max(1, k))
     budget = budget or OpBudget()
-    tau, rmax, rmax_b = taupush_params(g, leaf_sets, eps, delta)
+    tau, rmax, rmax_b = taupush_params(g, leaf_sets, leaf_dpr, eps, delta)
     member, sizes = membership_arrays(g.n, leaf_sets)
 
     dppr = np.zeros((k, k))
@@ -90,8 +140,7 @@ def taupush_query(
             g, fs, member, sizes, rmax, alpha, budget=budget
         )
 
-    taus = np.array([leaf_dpr[fs].mean() if len(fs) else 0.0 for fs in leaf_sets])
-    gbp_targets = np.flatnonzero(taus > tau)
+    gbp_targets = np.flatnonzero(child_dprs(leaf_dpr, leaf_sets) > tau)
     for j in gbp_targets:
         fs = leaf_sets[j]
         col = None
@@ -142,10 +191,8 @@ def gfp_taumax_query(
     eps = eps if eps is not None else 1.0 - 1.0 / math.e
     delta = delta if delta is not None else 1.0 / (10.0 * max(1, k))
     budget = budget or OpBudget()
-    taus = np.array([leaf_dpr[fs].mean() if len(fs) else 0.0 for fs in leaf_sets])
-    tau_max = float(taus.max()) if k else 1.0
-    tau_max = max(tau_max, 1.0 / max(1, g.n))  # guard degenerate zero
-    rmax = eps * delta / (g.m * tau_max)
+    tau_max = max_child_dpr(child_dprs(leaf_dpr, leaf_sets), g.n)
+    rmax = forward_rmax(g, tau_max, eps, delta)
     member, sizes = membership_arrays(g.n, leaf_sets)
     dppr = np.zeros((k, k))
     for i, fs in enumerate(leaf_sets):

@@ -21,8 +21,9 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
+from repro.core.gfp import aggregate_to_supernodes
 from repro.core.pdist import pdist_matrix
-from repro.core.taupush import membership_arrays, taupush_params
+from repro.core.taupush import child_dprs, membership_arrays, taupush_params
 from repro.graphs.csr import CSRGraph
 
 
@@ -124,21 +125,17 @@ def taupush_query_spark(
     k = len(leaf_sets)
     eps = eps if eps is not None else 1.0 - 1.0 / math.e
     delta = delta if delta is not None else 1.0 / (10.0 * max(1, k))
-    tau, rmax, rmax_b = taupush_params(g, leaf_sets, eps, delta)
+    tau, rmax, rmax_b = taupush_params(g, leaf_sets, leaf_dpr, eps, delta)
     member, sizes = membership_arrays(g.n, leaf_sets)
     deg = edges.groupBy(F.col("src").alias("node")).agg(
         F.count("*").alias("deg")
     ).localCheckpoint(eager=True)
 
-    def agg(est_pdf: pd.DataFrame, weight_deg: bool) -> np.ndarray:
+    def agg(est_pdf: pd.DataFrame, weight: np.ndarray | None) -> np.ndarray:
         dense = np.zeros(g.n)
         if len(est_pdf):
             dense[est_pdf["node"].to_numpy()] = est_pdf["est"].to_numpy()
-        vals = dense * (g.out_deg if weight_deg else 1.0)
-        out = np.zeros(k)
-        inside = member >= 0
-        np.add.at(out, member[inside], vals[inside])
-        return out / np.maximum(sizes, 1)
+        return aggregate_to_supernodes(dense, member, sizes, weight=weight)
 
     dppr = np.zeros((k, k))
     for i, fs in enumerate(leaf_sets):
@@ -147,15 +144,14 @@ def taupush_query_spark(
             spark, edges, deg, res0, rmax, alpha,
             degree_scaled_threshold=True, backward=False,
         )
-        dppr[i, :] = agg(est_pdf, weight_deg=False)
+        dppr[i, :] = agg(est_pdf, weight=None)
 
-    taus = np.array([leaf_dpr[fs].mean() if len(fs) else 0.0 for fs in leaf_sets])
-    for j in np.flatnonzero(taus > tau):
+    for j in np.flatnonzero(child_dprs(leaf_dpr, leaf_sets) > tau):
         fs = leaf_sets[j]
         res0 = _residue_df(spark, fs, np.full(len(fs), 1.0 / max(1, len(fs))))
         est_pdf, _ = push_rounds_spark(
             spark, edges, deg, res0, rmax_b, alpha,
             degree_scaled_threshold=False, backward=True,
         )
-        dppr[:, j] = agg(est_pdf, weight_deg=True)
+        dppr[:, j] = agg(est_pdf, weight=g.out_deg)
     return pdist_matrix(dppr, g.n), dppr

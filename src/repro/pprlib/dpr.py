@@ -86,8 +86,5 @@ def dpr_vector_spark(
 
 def supernode_dpr(leaf_dpr: np.ndarray, leaf_labels: np.ndarray) -> np.ndarray:
     """tau_j per supernode = mean leaf DPR over F(V_j) (Eq. (4))."""
-    n_sup = int(leaf_labels.max()) + 1
-    sums = np.zeros(n_sup)
-    np.add.at(sums, leaf_labels, leaf_dpr)
-    counts = np.bincount(leaf_labels, minlength=n_sup).astype(np.float64)
-    return sums / np.maximum(counts, 1.0)
+    sums = np.bincount(leaf_labels, weights=leaf_dpr)
+    return sums / np.maximum(np.bincount(leaf_labels), 1)

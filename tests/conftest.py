@@ -7,8 +7,10 @@ repo-root conftest.
 import numpy as np
 import pytest
 
+from repro.core.index import build_taupush_index
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
+from repro.hierarchy import build_hierarchy
 from repro.pprlib.power_iteration import exact_dppr_matrix, exact_ppr_matrix
 
 ALPHA = 0.15
@@ -36,6 +38,27 @@ def fbego():
 @pytest.fixture(scope="session")
 def wiki():
     return load_dataset("Wiki-ii").csr()
+
+
+@pytest.fixture(scope="session")
+def youtube25():
+    """The benchmark's Youtube analog, its k = 25 hierarchy and index."""
+    g = load_dataset("Youtube").csr()
+    h = build_hierarchy(g, 25, seed=0)
+    return g, h, build_taupush_index(g, h, ALPHA, 25)
+
+
+def all_queries(h):
+    """Every query of hierarchy ``h``, root first, as (child keys, leaf sets);
+    a key is the (level, supernode id) pair the index is keyed by."""
+    queries = [(h.n_levels + 1, None)] + [
+        (level, sup)
+        for level in range(1, h.n_levels + 1)
+        for sup in range(h.n_supernodes(level))
+    ]
+    for parent_level, sup in queries:
+        kids, leaf_sets = h.query_children_leafsets(parent_level, sup)
+        yield [(parent_level - 1, int(c)) for c in kids], leaf_sets
 
 
 @pytest.fixture(scope="session")

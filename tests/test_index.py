@@ -1,22 +1,21 @@
 """Tau-Push index (§4.3) tests: lookup equivalence, sizes."""
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.index import build_taupush_index
-from repro.core.taupush import taupush_query
-from repro.graphs.datasets import load_dataset
-from repro.hierarchy import build_hierarchy
+from repro.core.taupush import child_dprs, taupush_params, taupush_query
 from repro.pprlib.budget import OpBudget
+from tests.conftest import all_queries
 
 ALPHA = 0.15
+EPS = 1.0 - 1.0 / math.e
 
 
 @pytest.fixture(scope="module")
-def yt():
-    g = load_dataset("Youtube").csr()
-    h = build_hierarchy(g, 25, seed=0)
-    idx = build_taupush_index(g, h, ALPHA, 25)
-    return g, h, idx
+def yt(youtube25):
+    return youtube25
 
 
 def test_index_has_dpr(yt):
@@ -26,22 +25,41 @@ def test_index_has_dpr(yt):
 
 
 def test_index_stores_high_dpr_targets(yt):
+    """A stored target's DPR exceeds its sibling query's tau, which is
+    1/sqrt(|siblings| n) whenever some sibling is refined by GBP."""
     g, h, idx = yt
     assert len(idx.gbp_store) > 0
-    tau = 1.0 / np.sqrt(25 * g.n)
-    for (level, sup) in idx.gbp_store:
+    for (level, sup), (sids, _) in idx.gbp_store.items():
         fs = h.leaf_set(level, sup)
-        assert idx.leaf_dpr[fs].mean() > tau
+        assert idx.leaf_dpr[fs].mean() > 1.0 / np.sqrt(len(sids) * g.n)
 
 
 def test_index_covers_all_high_dpr_supernodes(yt):
     g, h, idx = yt
-    tau = 1.0 / np.sqrt(25 * g.n)
     for level in range(h.n_levels + 1):
-        for sup in range(h.n_supernodes(level)):
+        n_sup = h.n_supernodes(level)
+        if level == h.n_levels:
+            n_sibs = np.full(n_sup, n_sup)
+        else:
+            parent = h.parent_labels(level)
+            n_sibs = np.bincount(parent)[parent]
+        for sup in range(n_sup):
             fs = h.leaf_set(level, sup)
-            if idx.leaf_dpr[fs].mean() > tau:
+            if idx.leaf_dpr[fs].mean() > 1.0 / np.sqrt(n_sibs[sup] * g.n):
                 assert (level, sup) in idx.gbp_store
+
+
+def test_index_holds_exactly_the_gbp_targets(yt):
+    """Over every query of the hierarchy, each GBP target is an index hit
+    and each stored entry is a GBP target of its sibling query."""
+    g, h, idx = yt
+    targets = set()
+    for keys, leaf_sets in all_queries(h):
+        delta = 1.0 / (10 * len(leaf_sets))
+        tau, _, _ = taupush_params(g, leaf_sets, idx.leaf_dpr, EPS, delta)
+        hot = np.flatnonzero(child_dprs(idx.leaf_dpr, leaf_sets) > tau)
+        targets.update(keys[j] for j in hot)
+    assert targets == set(idx.gbp_store)
 
 
 def test_stored_columns_cover_siblings(yt):
